@@ -11,7 +11,8 @@ messages according to the installed fault rules.
 
 Per proxied call the agent:
 
-1. decodes the request, extracts the propagated request ID;
+1. takes the request (a message object; a raw-byte caller's request is
+   parsed first) and extracts the propagated request ID;
 2. consults the matcher for a request-direction rule and applies it
    (Delay: hold the message; Abort: synthesize the error response or
    reset the caller's connection without ever contacting the callee;
@@ -27,6 +28,11 @@ Upstream transport failures are translated the way real sidecar
 proxies (Envoy) translate them: connection refused/unreachable becomes
 a synthesized ``503`` to the caller; an upstream reset resets the
 caller's connection.
+
+Messages cross every hop as objects, so the proxy never pays the HTTP
+codec on them.  A caller that writes raw bytes is served in kind: its
+request is parsed (garbage gets a ``400``), relayed upstream as an
+object like any other, and answered in bytes.
 """
 
 from __future__ import annotations
@@ -46,7 +52,15 @@ from repro.errors import (
     ServiceNotFoundError,
 )
 from repro.http import status as http_status
-from repro.http.codec import decode_request, decode_response, encode_request, encode_response
+# Upstream hops carry objects; only a raw-byte caller's request and
+# reply use the codec.  decode_response and encode_request stay bound
+# because perfbench/spans.py wraps the codec where it is imported.
+from repro.http.codec import (  # noqa: F401
+    decode_request,
+    decode_response,
+    encode_request,
+    encode_response,
+)
 from repro.http.headers import SPAN_ID_HEADER
 from repro.http.message import HttpRequest, HttpResponse
 from repro.logstore.pipeline import LogPipeline
@@ -278,10 +292,9 @@ class GremlinAgent:
         target = targets[index % len(targets)]
         try:
             upstream: ConnectionEnd = yield self.host.connect(target)
-            upstream.send(encode_request(request))
-            reply_payload = yield upstream.recv()
+            upstream.send(request)
+            response = yield upstream.recv()
             upstream.close()
-            response = decode_response(reply_payload)
         except Exception as exc:  # noqa: BLE001 - shadow failures never propagate
             self._emit_reply_error(record, start, injected_delay, "shadow-error", False)
             return
@@ -367,16 +380,20 @@ class GremlinAgent:
                 break
 
     def _proxy_one(
-        self, conn: ConnectionEnd, dst_service: str, payload: bytes
+        self, conn: ConnectionEnd, dst_service: str, payload: _t.Any
     ) -> _t.Generator[_t.Any, _t.Any, bool]:
         """Proxy one request/response exchange; True if conn was closed."""
         self.proxied += 1
         start = self.sim.now
-        try:
-            request = decode_request(payload)
-        except CodecError as exc:
-            self._safe_send(conn, HttpResponse.error(http_status.BAD_REQUEST, str(exc)))
-            return False
+        raw = isinstance(payload, bytes)
+        request = payload
+        if raw:
+            try:
+                request = decode_request(payload)
+            except CodecError as exc:
+                response = HttpResponse.error(http_status.BAD_REQUEST, str(exc))
+                self._safe_send(conn, response, raw)
+                return False
         request_id = request.request_id
         # Shadow mirroring happens before fault matching (and before
         # span minting, so mirror copies stay outside the causal tree):
@@ -441,7 +458,7 @@ class GremlinAgent:
                 self._emit_reply(
                     record, start, injected_delay, response.status, gremlin_generated=True
                 )
-                self._safe_send(conn, response)
+                self._safe_send(conn, response, raw)
                 return False
             elif rule.fault_type == FaultType.MODIFY:
                 request = modify_request(rule, request)
@@ -462,7 +479,7 @@ class GremlinAgent:
             )
             record.status = response.status
             self._emit_reply_error(record, start, injected_delay, "refused", False)
-            self._safe_send(conn, response)
+            self._safe_send(conn, response, raw)
             return False
         except ConnectionTimeoutError:
             record.error = "timeout"
@@ -506,7 +523,7 @@ class GremlinAgent:
         record.status = response.status
         record.injected_delay = injected_delay
         self._emit_reply(record, start, injected_delay, response.status, gremlin_generated)
-        self._safe_send(conn, response)
+        self._safe_send(conn, response, raw)
         return False
 
     def _forward(
@@ -528,12 +545,12 @@ class GremlinAgent:
         target = addresses[index % len(addresses)]
         upstream: ConnectionEnd = yield self.host.connect(target)
         try:
-            upstream.send(encode_request(request))
-            reply_payload = yield upstream.recv()
+            upstream.send(request)
+            response = yield upstream.recv()
         finally:
             if not upstream.closed:
                 upstream.close()
-        return decode_response(reply_payload)
+        return response
 
     # -- observation emission --------------------------------------------------------
 
@@ -600,12 +617,13 @@ class GremlinAgent:
             )
         )
 
-    def _safe_send(self, conn: ConnectionEnd, response: HttpResponse) -> None:
-        """Send a response unless the caller already went away."""
+    def _safe_send(self, conn: ConnectionEnd, response: HttpResponse, raw: bool) -> None:
+        """Send a response, as bytes to a raw-byte caller, unless the
+        caller already went away."""
         if conn.closed:
             return
         try:
-            conn.send(encode_response(response))
+            conn.send(encode_response(response) if raw else response)
         except ConnectionResetError_:
             pass
 

@@ -61,11 +61,12 @@ class HttpError(ReproError):
 
 
 class CodecError(HttpError):
-    """A wire-format payload could not be parsed back into a message.
+    """A raw-byte payload could not be parsed into a message.
 
-    Raised when a ``Modify`` fault corrupts a message beyond what the
-    receiving side can interpret — the 'invalid responses' entry of the
-    paper's fault model.
+    Only peers that write raw ``bytes`` to the transport can cause it;
+    messages sent as objects are never parsed.  A ``Modify`` fault does
+    not cause it either: it rewrites the body of a message copy, which
+    stays well formed.
     """
 
 

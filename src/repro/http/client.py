@@ -2,9 +2,10 @@
 
 :meth:`HttpClient.call` is a *generator subroutine*: service handler
 code running inside a simulation process invokes it with
-``yield from``.  It opens a connection, sends the encoded request,
+``yield from``.  It opens a connection, sends the request object,
 awaits the response, and surfaces every fault-model observable as an
-exception (network errors, per-call timeout, unparseable response).
+exception (network errors, per-call timeout).  Messages travel as
+objects both ways, so the call never pays the HTTP codec.
 
 This client is deliberately *naive* — no retries, no breaker, no
 default timeout.  The resilience patterns live one layer up, in
@@ -18,7 +19,10 @@ from __future__ import annotations
 import typing as _t
 
 from repro.errors import RequestTimeoutError
-from repro.http.codec import decode_response, encode_request
+# Requests leave and replies arrive as objects, so the codec has no
+# caller here; its names stay bound because perfbench/spans.py wraps the
+# codec where it is imported.
+from repro.http.codec import decode_response, encode_request  # noqa: F401
 from repro.http.message import HttpRequest, HttpResponse
 from repro.network.address import Address
 from repro.network.transport import ConnectionEnd, Host
@@ -77,14 +81,16 @@ class HttpClient:
         and if that is also ``None`` the call waits forever (which is
         exactly the missing-timeout anti-pattern Fig 5 exposes).
 
+        The response arrives as a message object and is never parsed,
+        so a ``Modify`` fault (which rewrites the body of a copy) cannot
+        make it unreadable.
+
         Raises
         ------
         RequestTimeoutError
             The deadline expired before the response arrived.
         NetworkError subclasses
             Connection refused / reset / partitioned, per the transport.
-        CodecError
-            The response bytes could not be parsed (Modify-corrupted).
         """
         sim = self.sim
         budget = self.default_timeout if timeout is None else timeout
@@ -94,14 +100,14 @@ class HttpClient:
         try:
             conn_ev = self.host.connect(dst)
             conn = yield from await_with_deadline(sim, conn_ev, deadline)
-            conn.send(encode_request(request))
-            payload = yield from await_with_deadline(sim, conn.recv(), deadline)
+            conn.send(request)
+            response = yield from await_with_deadline(sim, conn.recv(), deadline)
         finally:
             # Abandon the connection whether we succeeded, timed out or
             # hit a transport error; late server responses are dropped.
             if conn is not None and not conn.closed:
                 conn.close()
-        return decode_response(payload)
+        return response
 
     def get(
         self, dst: Address, uri: str, timeout: float | None = None, **header_kwargs: str

@@ -1,11 +1,12 @@
 """Wire-format codec: HTTP messages <-> bytes.
 
-The transport carries opaque ``bytes``; this codec gives those bytes an
-HTTP/1.1-like shape.  Having a real wire format matters for fidelity:
-the ``Modify`` fault primitive rewrites *bytes* on the wire (paper
-Table 2), and a sufficiently destructive rewrite must be able to
-produce an *unparseable* message — the "invalid responses" entry of the
-fault model — which the receiving side surfaces as ``CodecError``.
+Messages travel across the simulated transport as objects, so no hop
+encodes or parses them.  This codec is the boundary for peers that
+write raw ``bytes`` instead: the server and the agent parse such a
+request with it and answer in bytes.  Malformed input raises
+``CodecError``, which only raw payloads can trigger.  The ``Modify``
+fault primitive (paper Table 2) never does: it rewrites the body bytes
+of a message copy, and ``Content-Length`` is re-derived on encode.
 
 Format (one message per transport payload, body length from
 ``Content-Length``)::
@@ -61,8 +62,8 @@ def encode(message: Message) -> bytes:
 def decode(payload: bytes) -> Message:
     """Parse a wire payload into a request or response.
 
-    Raises :class:`~repro.errors.CodecError` for malformed payloads —
-    e.g. after a Modify fault corrupted the start line.
+    Raises :class:`~repro.errors.CodecError` for malformed payloads,
+    e.g. a start line that is not HTTP.
     """
     start_line = payload.split(_CRLF, 1)[0]
     if start_line.startswith(b"HTTP/"):

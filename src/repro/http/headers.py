@@ -71,8 +71,11 @@ class Headers:
         return iter(list(self._entries.values()))
 
     def copy(self) -> "Headers":
-        """An independent copy."""
-        return Headers(list(self.items()))
+        """An independent copy (entries are immutable tuples, so a
+        shallow copy of the map is enough)."""
+        clone = Headers.__new__(Headers)
+        clone._entries = dict(self._entries)
+        return clone
 
     def to_dict(self) -> dict[str, str]:
         """Plain dict snapshot (original-case keys)."""

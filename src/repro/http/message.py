@@ -51,8 +51,13 @@ class HttpRequest:
         self.headers[REQUEST_ID_HEADER] = value
 
     def copy(self) -> "HttpRequest":
-        """Deep-enough copy: headers and body are independent."""
-        return HttpRequest(self.method, self.uri, self.headers.copy(), bytes(self.body))
+        """Independent copy: own headers; a ``bytes`` body is shared."""
+        clone = object.__new__(HttpRequest)  # skips re-validating
+        clone.method = self.method
+        clone.uri = self.uri
+        clone.headers = self.headers.copy()
+        clone.body = bytes(self.body)
+        return clone
 
     def __repr__(self) -> str:
         rid = self.request_id
@@ -101,8 +106,12 @@ class HttpResponse:
         return self.body.decode(encoding)
 
     def copy(self) -> "HttpResponse":
-        """Deep-enough copy: headers and body are independent."""
-        return HttpResponse(self.status, self.headers.copy(), bytes(self.body))
+        """Independent copy: own headers; a ``bytes`` body is shared."""
+        clone = object.__new__(HttpResponse)  # skips re-validating
+        clone.status = self.status
+        clone.headers = self.headers.copy()
+        clone.body = bytes(self.body)
+        return clone
 
     @classmethod
     def error(

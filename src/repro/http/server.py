@@ -8,7 +8,11 @@ concurrent connections are served in parallel.
 Handlers are generator functions ``handler(request) -> HttpResponse``
 that may ``yield`` events (e.g. make downstream calls via
 :class:`~repro.http.client.HttpClient`).  Handler exceptions become
-``500`` responses; unparseable request bytes become ``400``.
+``500`` responses.
+
+Requests normally arrive as message objects, and the handler owns the
+one it gets.  A raw-byte peer's request is parsed with the codec and
+answered in bytes; if it does not parse, the reply is a ``400``.
 """
 
 from __future__ import annotations
@@ -76,20 +80,25 @@ class HttpServer:
                 payload = yield conn.recv()
             except (ChannelClosed, Exception):  # noqa: BLE001 - reset/close both end the loop
                 break
-            response = yield from self._dispatch(payload)
+            raw = isinstance(payload, bytes)
+            response = yield from self._dispatch(payload, raw)
             if conn.closed:
                 break
             try:
-                conn.send(encode_response(response))
+                conn.send(encode_response(response) if raw else response)
             except Exception:  # noqa: BLE001 - peer vanished mid-response
                 break
             self.requests_served += 1
 
-    def _dispatch(self, payload: bytes) -> _t.Generator[_t.Any, _t.Any, HttpResponse]:
-        try:
-            request = decode_request(payload)
-        except CodecError as exc:
-            return HttpResponse.error(http_status.BAD_REQUEST, str(exc))
+    def _dispatch(
+        self, payload: _t.Any, raw: bool
+    ) -> _t.Generator[_t.Any, _t.Any, HttpResponse]:
+        request = payload
+        if raw:
+            try:
+                request = decode_request(payload)
+            except CodecError as exc:
+                return HttpResponse.error(http_status.BAD_REQUEST, str(exc))
         try:
             response = yield from self.handler(request)
         except Exception as exc:  # noqa: BLE001 - handler crash => 500

@@ -33,7 +33,7 @@ class ObservationKind:
     ALL = (REQUEST, REPLY)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(init=False)
 class ObservationRecord:
     """One logged observation of a message at a Gremlin agent.
 
@@ -111,16 +111,57 @@ class ObservationRecord:
     span_id: _t.Optional[str] = None
     parent_span: _t.Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in ObservationKind.ALL:
-            raise ValueError(f"kind must be one of {ObservationKind.ALL}, got {self.kind!r}")
+    def __init__(
+        self,
+        timestamp: float,
+        kind: str,
+        src: str,
+        dst: str,
+        src_instance: str = "",
+        request_id: _t.Optional[str] = None,
+        method: _t.Optional[str] = None,
+        uri: _t.Optional[str] = None,
+        status: _t.Optional[int] = None,
+        latency: _t.Optional[float] = None,
+        injected_delay: float = 0.0,
+        fault_applied: _t.Optional[str] = None,
+        gremlin_generated: bool = False,
+        error: _t.Optional[str] = None,
+        span_id: _t.Optional[str] = None,
+        parent_span: _t.Optional[str] = None,
+    ) -> None:
+        if kind not in ObservationKind.ALL:
+            raise ValueError(f"kind must be one of {ObservationKind.ALL}, got {kind!r}")
+        # Fields go straight into __dict__ rather than through
+        # __setattr__: a record under construction belongs to no store,
+        # so there is no index hook to notify.  One store per field, in
+        # declaration order, keeps the instance dict key-sharing;
+        # ``__dict__.update(...)`` would double its size.
+        fields = self.__dict__
+        fields["timestamp"] = timestamp
+        fields["kind"] = kind
+        fields["src"] = src
+        fields["dst"] = dst
+        fields["src_instance"] = src_instance
+        fields["request_id"] = request_id
+        fields["method"] = method
+        fields["uri"] = uri
+        fields["status"] = status
+        fields["latency"] = latency
+        fields["injected_delay"] = injected_delay
+        fields["fault_applied"] = fault_applied
+        fields["gremlin_generated"] = gremlin_generated
+        fields["error"] = error
+        fields["span_id"] = span_id
+        fields["parent_span"] = parent_span
 
     def __setattr__(self, name: str, value: _t.Any) -> None:
         # Stores install ``_index_hook`` (a plain __dict__ entry, not a
         # dataclass field) at ingest time; updates to indexed mutable
         # fields flow through it so posting lists stay a superset of
-        # the truth.  Unhooked records (not yet stored, or owned by a
-        # linear-strategy store) pay only the membership test.
+        # the truth.  Unhooked records (owned by a linear-strategy
+        # store, or built but not yet stored) pay only the membership
+        # test; construction bypasses this method entirely.
         if name in _INDEXED_MUTABLE_FIELDS:
             hook = self.__dict__.get("_index_hook")
             if hook is not None and value != self.__dict__.get(name):

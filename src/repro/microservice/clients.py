@@ -194,7 +194,7 @@ class DependencyClient:
             self.stats.attempts += 1
             try:
                 response = yield from self.http.call(
-                    self._resolve_target(), request.copy(), timeout=policy.attempt_timeout
+                    self._resolve_target(), request, timeout=policy.attempt_timeout
                 )
             except FAILURE_EXCEPTIONS as exc:
                 last_error, last_response = exc, None

@@ -16,9 +16,12 @@ observables:
 * Messages in flight across a newly-partitioned link are silently
   dropped, so the caller's only signal is its own timeout.
 
-Data units are opaque ``bytes`` payloads; the HTTP layer above encodes
-and decodes them, which is what gives the ``Modify`` fault primitive
-real bytes to rewrite.
+Data units are either raw ``bytes`` or message objects (the HTTP
+layer's ``HttpRequest``/``HttpResponse``).  A message object crosses
+the link whole: :meth:`ConnectionEnd.send` hands the receiver the
+object's own shallow ``copy()``, so sender and receiver never share
+mutable state, and no hop pays to serialize and re-parse it.  The
+transport never looks inside either kind.
 """
 
 from __future__ import annotations
@@ -292,7 +295,7 @@ class Listener:
 
 
 class Connection:
-    """A bidirectional byte-message pipe between two hosts.
+    """A bidirectional message pipe between two hosts.
 
     Holds the two :class:`ConnectionEnd` halves.  Application code only
     ever touches the ends; the Connection exists so resets and closes
@@ -334,8 +337,14 @@ class ConnectionEnd:
         """The simulator this connection runs on."""
         return self.conn.network.sim
 
-    def send(self, payload: bytes) -> None:
+    def send(self, payload: _t.Any) -> None:
         """Transmit ``payload`` to the peer after one link latency.
+
+        ``payload`` is ``bytes``/``bytearray`` (delivered as ``bytes``)
+        or a message object with a ``copy()`` method.  The copy, taken
+        now, is what the peer receives, so later changes by the sender
+        never reach it.  Anything else (a ``str``, say) is a
+        ``TypeError``.
 
         Sends on a closed end raise ``ConnectionResetError_``; messages
         crossing a link that is partitioned *at delivery time* are
@@ -344,8 +353,15 @@ class ConnectionEnd:
         """
         if self.closed:
             raise ConnectionResetError_(f"{self.label}: send on closed connection")
-        if not isinstance(payload, (bytes, bytearray)):
-            raise TypeError(f"payload must be bytes, got {type(payload).__name__}")
+        if isinstance(payload, (bytes, bytearray)):
+            payload = bytes(payload)
+        else:
+            copy = getattr(payload, "copy", None)
+            if copy is None:
+                raise TypeError(
+                    f"payload must be bytes or a message object, got {type(payload).__name__}"
+                )
+            payload = copy()
         network = self.conn.network
         delay = network.latency_between(self.local.name, self.remote.name)
         peer = self.peer
@@ -358,7 +374,7 @@ class ConnectionEnd:
                 self.local.name, self.remote.name
             ):
                 return  # dropped on the floor by the partition
-            peer._inbox.put(bytes(payload))
+            peer._inbox.put(payload)
 
         self.sim.timeout(delay).add_callback(_deliver)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.logstore import ObservationKind, ObservationRecord
+from repro.logstore import EventStore, ObservationKind, ObservationRecord, Query
 
 
 def make_record(**overrides):
@@ -52,3 +52,75 @@ class TestObservationRecord:
         assert doc["src"] == "ServiceA"
         assert doc["status"] == 200
         assert ObservationRecord(**doc) == record
+
+
+class TestConstructionSkipsTheIndexHook:
+    """Records are built field-complete in one step; only post-ingest
+    mutations go through ``__setattr__`` and the store's index hook."""
+
+    def test_construction_never_calls_setattr_or_a_hook(self, monkeypatch):
+        store = EventStore(strategy="indexed")  # has ingested nothing yet
+        hook_calls = []
+        monkeypatch.setattr(store, "_record_updated", lambda *args: hook_calls.append(args))
+        setattr_calls = []
+        original = ObservationRecord.__setattr__
+
+        def counting_setattr(self, name, value):
+            setattr_calls.append(name)
+            original(self, name, value)
+
+        monkeypatch.setattr(ObservationRecord, "__setattr__", counting_setattr)
+        record = make_record(status=503, fault_applied="abort(503)", latency=0.5)
+        assert setattr_calls == [] and hook_calls == []
+
+        store.append(record)
+        record.status = 200
+        record.fault_applied = None
+        assert setattr_calls == ["status", "fault_applied"]
+        assert [(field, value) for _record, field, value in hook_calls] == [
+            ("status", 200),
+            ("fault_applied", None),
+        ]
+
+    QUERIES = [
+        Query(),
+        Query(status=200),
+        Query(status=503),
+        Query(status=500),
+        Query(with_faults_only=True),
+        Query(kind="reply", status=503),
+        Query(with_faults_only=True, status=503),
+    ]
+
+    def test_post_ingest_updates_match_a_linear_store(self):
+        def populate(store):
+            records = [
+                make_record(
+                    timestamp=float(index),
+                    kind="reply" if index % 2 else "request",
+                    status=[None, 200, 503][index % 3],
+                    fault_applied="abort(503)" if index % 4 == 0 else None,
+                )
+                for index in range(24)
+            ]
+            store.extend(records)
+            return records
+
+        indexed = EventStore(strategy="indexed")
+        linear = EventStore(strategy="linear")
+        stores = [(indexed, populate(indexed)), (linear, populate(linear))]
+        for query in self.QUERIES:  # warm every posting list first
+            indexed.count(query)
+        for _store, records in stores:
+            for index, record in enumerate(records):
+                if index % 3 == 0:
+                    record.status = 503
+                elif index % 5 == 0:
+                    record.status = None
+                if index % 4 == 0:
+                    record.fault_applied = None
+                elif index % 7 == 0:
+                    record.fault_applied = "delay(1.0)"
+        for query in self.QUERIES:
+            assert indexed.search(query) == linear.search(query)
+            assert indexed.count(query) == linear.count(query)
